@@ -27,6 +27,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/rjms"
 	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -400,18 +401,24 @@ func BenchmarkEngineStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulePass measures the controller's scheduling hot path
-// end to end: one capped SHUT scenario on the bench slice, whose cost
-// is dominated by EASY-backfill passes (allocation probes, the shadow
-// window, power projections) rather than event dispatch.
-func BenchmarkSchedulePass(b *testing.B) {
-	s := replay.Scenario{
+// schedulePassScenario is BenchmarkSchedulePass's workload: one capped
+// SHUT scenario on the bench slice, whose cost is dominated by
+// EASY-backfill passes (allocation probes, the shadow window, power
+// projections) rather than event dispatch.
+func schedulePassScenario() replay.Scenario {
+	return replay.Scenario{
 		Name:        "bench-pass",
 		Workload:    trace.Config{Kind: trace.MedianJob, Seed: 3},
 		Policy:      core.PolicyShut,
 		CapFraction: 0.5,
 		ScaleRacks:  benchRacks,
 	}
+}
+
+// BenchmarkSchedulePass measures the controller's scheduling hot path
+// end to end on schedulePassScenario.
+func BenchmarkSchedulePass(b *testing.B) {
+	s := schedulePassScenario()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := replay.Run(s)
@@ -421,6 +428,27 @@ func BenchmarkSchedulePass(b *testing.B) {
 		if res.Summary.JobsCompleted == 0 {
 			b.Fatal("scenario completed no jobs")
 		}
+	}
+}
+
+// TestSchedulePassPlanCounters pins the exact plan counters of the
+// BenchmarkSchedulePass scenario. They are host-independent, so a
+// change to the probe count or to how many probes the backfill shadow
+// check discards shows here even when the wall clock hides it.
+func TestSchedulePassPlanCounters(t *testing.T) {
+	var ctl *rjms.Controller
+	res := replay.RunWith(schedulePassScenario(), func(c *rjms.Controller) { ctl = c })
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	sc := ctl.SchedCounters()
+	got := [3]uint64{sc.PlansProbed, sc.PlansCommitted, sc.PlansShadowRejected}
+	want := [3]uint64{57218, 2011, 40991}
+	if got != want {
+		t.Errorf("plans probed/committed/shadow-rejected = %v, want %v", got, want)
+	}
+	if sc.PlansCommitted != uint64(res.Summary.JobsLaunched) {
+		t.Errorf("PlansCommitted = %d, summary launched %d jobs", sc.PlansCommitted, res.Summary.JobsLaunched)
 	}
 }
 

@@ -94,18 +94,31 @@ func parseBenchLine(line string) (Benchmark, error) {
 	return b, nil
 }
 
+// allocTolerance is the allowed fractional allocs/op growth over the
+// baseline. Allocation counts are exact and host-independent, unlike
+// ns/op, so the gate is tight: only the worker pool's goroutine
+// interleaving moves them between runs.
+const allocTolerance = 0.02
+
 // Compare checks rep against a baseline report: any benchmark present
-// in both whose ns/op grew by more than tolerance (0.20 = +20%) is a
-// regression. Benchmarks missing on either side are skipped (renames
-// and new benchmarks are not regressions); single-pass CI timings are
-// noisy, so the tolerance is deliberately generous and only ns/op is
-// gated.
+// in both whose ns/op grew by more than tolerance (0.20 = +20%), or
+// whose allocs/op grew by more than allocTolerance, is a regression.
+// Benchmarks missing on either side are skipped (renames and new
+// benchmarks are not regressions), as is a unit either side lacks.
+// Single-pass CI timings are noisy, so the ns/op tolerance is
+// deliberately generous. A zero allocs/op baseline admits no
+// allocation at all.
 func Compare(baseline, rep Report, tolerance float64) []string {
-	base := map[string]float64{}
+	base := map[string]map[string]float64{}
 	for _, b := range baseline.Benchmarks {
-		if ns, ok := b.Metrics["ns/op"]; ok && ns > 0 {
-			base[stripProcs(b.Name)] = ns
-		}
+		base[stripProcs(b.Name)] = b.Metrics
+	}
+	gates := []struct {
+		unit string
+		tol  float64
+	}{
+		{"ns/op", tolerance},
+		{"allocs/op", allocTolerance},
 	}
 	var regressions []string
 	for _, b := range rep.Benchmarks {
@@ -113,14 +126,17 @@ func Compare(baseline, rep Report, tolerance float64) []string {
 		if !ok {
 			continue
 		}
-		ns, ok := b.Metrics["ns/op"]
-		if !ok {
-			continue
-		}
-		if ns > old*(1+tolerance) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: ns/op %.3g -> %.3g (%+.1f%%, gate +%.0f%%)",
-					b.Name, old, ns, (ns/old-1)*100, tolerance*100))
+		for _, g := range gates {
+			was, ok := old[g.unit]
+			now, ok2 := b.Metrics[g.unit]
+			if !ok || !ok2 {
+				continue
+			}
+			if now > was*(1+g.tol) {
+				regressions = append(regressions,
+					fmt.Sprintf("%s: %s %.6g -> %.6g (%+.1f%%, gate +%.0f%%)",
+						b.Name, g.unit, was, now, (now/was-1)*100, g.tol*100))
+			}
 		}
 	}
 	return regressions
@@ -144,7 +160,9 @@ func stripProcs(name string) string {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "", "compare against this baseline JSON report; exit 1 on a ns/op regression beyond -tolerance")
+	baselinePath := flag.String("baseline", "", fmt.Sprintf(
+		"compare against this baseline JSON report; exit 1 on a ns/op regression beyond -tolerance or an allocs/op growth beyond +%.0f%%",
+		allocTolerance*100))
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional ns/op growth vs the baseline")
 	flag.Parse()
 
@@ -183,6 +201,7 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "bench2json: no ns/op regression beyond +%.0f%% vs %s\n", *tolerance*100, *baselinePath)
+		fmt.Fprintf(os.Stderr, "bench2json: no ns/op regression beyond +%.0f%% and no allocs/op growth beyond +%.0f%% vs %s\n",
+			*tolerance*100, allocTolerance*100, *baselinePath)
 	}
 }

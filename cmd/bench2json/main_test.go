@@ -84,6 +84,54 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 }
 
+func TestCompareGatesAllocs(t *testing.T) {
+	baseline := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkSweep/serial", Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 400000}},
+		{Name: "BenchmarkSchedulePass", Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 20000}},
+		{Name: "BenchmarkFig8PolicySweep", Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 600000}},
+		{Name: "BenchmarkEngineStep", Metrics: map[string]float64{"ns/op": 300, "allocs/op": 0}},
+		{Name: "BenchmarkNoAllocs", Metrics: map[string]float64{"ns/op": 1000}},
+	}}
+	current := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkSweep/serial-2", Metrics: map[string]float64{"ns/op": 900, "allocs/op": 406000}},   // +1.5%: ok
+		{Name: "BenchmarkSchedulePass-2", Metrics: map[string]float64{"ns/op": 500, "allocs/op": 20601}},    // +3%, faster: regression
+		{Name: "BenchmarkFig8PolicySweep-2", Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 1000}}, // fewer: ok
+		{Name: "BenchmarkEngineStep-2", Metrics: map[string]float64{"ns/op": 300, "allocs/op": 1}},          // any alloc over 0: regression
+		{Name: "BenchmarkNoAllocs-2", Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 5}},           // no baseline count: skipped
+	}}
+	regs := Compare(baseline, current, 0.20)
+	if len(regs) != 2 {
+		t.Fatalf("Compare found %d regressions, want 2: %v", len(regs), regs)
+	}
+	for i, name := range []string{"BenchmarkSchedulePass", "BenchmarkEngineStep"} {
+		if !strings.Contains(regs[i], name) || !strings.Contains(regs[i], "allocs/op") {
+			t.Errorf("regression %d = %q, want an allocs/op regression of %s", i, regs[i], name)
+		}
+	}
+}
+
+func TestCompareAllocsAtExactGateBoundary(t *testing.T) {
+	baseline := Report{Benchmarks: []Benchmark{
+		{Name: "B", Metrics: map[string]float64{"allocs/op": 1000}},
+	}}
+	for allocs, flagged := range map[float64]bool{1020: false, 1021: true} {
+		current := Report{Benchmarks: []Benchmark{
+			{Name: "B", Metrics: map[string]float64{"allocs/op": allocs}},
+		}}
+		if regs := Compare(baseline, current, 0.20); (len(regs) == 1) != flagged {
+			t.Errorf("allocs/op 1000 -> %v: regressions %v, want flagged=%v", allocs, regs, flagged)
+		}
+	}
+	// The allocation gate is fixed: widening the ns/op tolerance does
+	// not loosen it.
+	current := Report{Benchmarks: []Benchmark{
+		{Name: "B", Metrics: map[string]float64{"allocs/op": 1100}},
+	}}
+	if regs := Compare(baseline, current, 5); len(regs) != 1 {
+		t.Errorf("+10%% allocs/op passed under a wide ns/op tolerance: %v", regs)
+	}
+}
+
 func TestCompareAtExactGateBoundary(t *testing.T) {
 	baseline := Report{Benchmarks: []Benchmark{
 		{Name: "B", Metrics: map[string]float64{"ns/op": 1000}},

@@ -78,10 +78,15 @@ type Controller struct {
 	passMemoMinFail int
 
 	// Lifetime scheduling counters: full probe cycles run vs skipped by
-	// the pass memo. Plain increments on the single-threaded simulation
-	// path; sampled out-of-band via SchedCounters.
-	statPasses        uint64
-	statPassesSkipped uint64
+	// the pass memo, and the plans those cycles probed, committed and
+	// discarded at the shadow check. Plain increments on the
+	// single-threaded simulation path; sampled out-of-band via
+	// SchedCounters.
+	statPasses              uint64
+	statPassesSkipped       uint64
+	statPlansProbed         uint64
+	statPlansCommitted      uint64
+	statPlansShadowRejected uint64
 
 	// estimator is non-nil in measurement-based capping mode: active-cap
 	// checks use its guarded estimate instead of the exact bookkeeping.
@@ -537,17 +542,24 @@ func (c *Controller) Samples() []metrics.Sample { return c.rec.Samples() }
 
 // SchedCounters is a snapshot of the controller's lifetime hot-path
 // counters: engine events fired, scheduling passes run vs skipped by
-// the pass memo, and projection-memo hits/misses. The counters are
+// the pass memo, allocation plans, and projection-memo hits/misses.
+// PlansProbed counts plan calls (probes the pass's same-or-larger
+// failure pruning did not skip), PlansCommitted the launches, and
+// PlansShadowRejected the successful backfill plans discarded because
+// they would delay the head job's EASY reservation. The counters are
 // plain uint64 increments on the deterministic simulation path — this
 // accessor exists so observers can sample them out-of-band (e.g. from
 // a metrics observer callback) and publish deltas without touching the
 // hot path.
 type SchedCounters struct {
-	EventsFired        uint64
-	Passes             uint64
-	PassesSkipped      uint64
-	ProjectionMemoHits uint64
-	ProjectionMemoMiss uint64
+	EventsFired         uint64
+	Passes              uint64
+	PassesSkipped       uint64
+	PlansProbed         uint64
+	PlansCommitted      uint64
+	PlansShadowRejected uint64
+	ProjectionMemoHits  uint64
+	ProjectionMemoMiss  uint64
 }
 
 // SchedCounters returns the current counter snapshot. Call only from
@@ -556,11 +568,14 @@ type SchedCounters struct {
 func (c *Controller) SchedCounters() SchedCounters {
 	hits, misses := c.futureFreqMemo.Stats()
 	return SchedCounters{
-		EventsFired:        c.eng.Fired(),
-		Passes:             c.statPasses,
-		PassesSkipped:      c.statPassesSkipped,
-		ProjectionMemoHits: hits,
-		ProjectionMemoMiss: misses,
+		EventsFired:         c.eng.Fired(),
+		Passes:              c.statPasses,
+		PassesSkipped:       c.statPassesSkipped,
+		PlansProbed:         c.statPlansProbed,
+		PlansCommitted:      c.statPlansCommitted,
+		PlansShadowRejected: c.statPlansShadowRejected,
+		ProjectionMemoHits:  hits,
+		ProjectionMemoMiss:  misses,
 	}
 }
 
@@ -806,9 +821,11 @@ func (c *Controller) noteState(now int64) {
 
 // --- scheduling -----------------------------------------------------
 
-// planned is a successful allocation probe. allocs is owned by the
-// planned value (copied out of the probe scratch buffer: commit stores
-// it in the job's state, which outlives the next probe).
+// planned is a successful allocation probe, returned by value. allocs
+// is valid only until the next plan call: on the AllocateInto paths it
+// aliases the probe scratch buffer (allocBuf). Most successful plans
+// are discarded by the backfill shadow check, so commit alone copies
+// the allocation into the job's state.
 type planned struct {
 	allocs []job.Alloc
 	freq   dvfs.Freq
@@ -822,15 +839,18 @@ func (c *Controller) freeCoresUpperBound() int {
 	return c.clus.Cores() - c.clus.BusyCores() - off
 }
 
-// plan finds an allocation and frequency for a job, or nil. The node
-// eligibility uses the job's longest possible span (ladder minimum) so a
-// chosen allocation stays valid for any frequency the online algorithm
-// settles on. allocFail reports that the failure happened while finding
-// cores (as opposed to the power check) — the scheduling pass uses it to
-// prune same-or-larger requests within the same pass.
-func (c *Controller) plan(j *job.Job, now int64) (pl *planned, allocFail bool) {
+// plan finds an allocation and frequency for a job; ok reports success.
+// The node eligibility uses the job's longest possible span (ladder
+// minimum) so a chosen allocation stays valid for any frequency the
+// online algorithm settles on. allocFail reports that a failure happened
+// while finding cores (as opposed to the power check) — the scheduling
+// pass uses it to prune same-or-larger requests within the same pass.
+// A successful plan's allocs may alias the probe scratch buffer (see
+// planned); a discarded plan therefore costs no allocation.
+func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool) {
+	c.statPlansProbed++
 	if j.Cores > c.freeCoresUpperBound() {
-		return nil, true
+		return planned{}, false, true
 	}
 	wallMax := j.ScaledWalltime(c.pm.Deg, c.pm.Ladder.Min())
 	c.planNow, c.planEndMax = now, now+wallMax
@@ -851,7 +871,7 @@ func (c *Controller) plan(j *job.Job, now int64) (pl *planned, allocFail bool) {
 		c.allocBuf = allocs[:0]
 	}
 	if !found {
-		return nil, true
+		return planned{}, false, true
 	}
 	nodes := c.nodeBuf[:0]
 	for _, a := range allocs {
@@ -863,14 +883,17 @@ func (c *Controller) plan(j *job.Job, now int64) (pl *planned, allocFail bool) {
 	c.planCapNow = c.book.CapAt(now)
 	f, ok := core.SelectFreq(c.pm, c.admitFn)
 	if !ok {
-		return nil, false
+		return planned{}, false, false
 	}
-	owned := append([]job.Alloc(nil), allocs...)
-	return &planned{allocs: owned, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, false
+	return planned{allocs: allocs, freq: f, wall: j.ScaledWalltime(c.pm.Deg, f)}, true, false
 }
 
-func (c *Controller) commit(j *job.Job, pl *planned, now int64) {
+// commit launches j on a plan. It is the only place a probe's
+// allocation is copied into job state: pl.allocs aliases the probe
+// scratch buffer, which the next plan call overwrites.
+func (c *Controller) commit(j *job.Job, pl planned, now int64) {
 	c.invalidatePassMemo()
+	c.statPlansCommitted++
 	for _, a := range pl.allocs {
 		if err := c.clus.Occupy(a.Node, a.Cores, pl.freq); err != nil {
 			panic(fmt.Sprintf("rjms: occupy inconsistency for job %d: %v", j.ID, err))
@@ -880,7 +903,7 @@ func (c *Controller) commit(j *job.Job, pl *planned, now int64) {
 	j.State = job.StateRunning
 	j.Freq = pl.freq
 	j.StartTime = now
-	j.Allocs = pl.allocs
+	j.Allocs = append([]job.Alloc(nil), pl.allocs...)
 	c.running[j.ID] = j
 	c.viewInsert(c.viewKey(j))
 	c.rec.NoteLaunch(pl.freq, now-j.Submit)
@@ -982,19 +1005,19 @@ func (c *Controller) pass(now int64) {
 	minAllocFail := math.MaxInt
 	minPowerFail := math.MaxInt
 
-	tryPlan := func(j *job.Job) (*planned, bool) {
+	tryPlan := func(j *job.Job) (planned, bool) {
 		if j.Cores >= minAllocFail || j.Cores >= minPowerFail {
-			return nil, j.Cores >= minAllocFail
+			return planned{}, false
 		}
-		pl, allocFail := c.plan(j, now)
-		if pl == nil {
+		pl, ok, allocFail := c.plan(j, now)
+		if !ok {
 			if allocFail {
 				minAllocFail = j.Cores
 			} else {
 				minPowerFail = j.Cores
 			}
 		}
-		return pl, allocFail
+		return pl, ok
 	}
 
 	considered := 0
@@ -1005,7 +1028,7 @@ func (c *Controller) pass(now int64) {
 		considered++
 
 		if shadowAt < 0 {
-			if pl, _ := tryPlan(j); pl != nil {
+			if pl, ok := tryPlan(j); ok {
 				c.commit(j, pl, now)
 				startedCount++
 				continue
@@ -1028,12 +1051,13 @@ func (c *Controller) pass(now int64) {
 		}
 
 		// Backfill candidate: must not delay the head reservation.
-		pl, _ := tryPlan(j)
-		if pl == nil {
+		pl, ok := tryPlan(j)
+		if !ok {
 			continue
 		}
 		if now+pl.wall > shadowAt && shadowAt != math.MaxInt64 {
 			if freeAtShadow-j.Cores < shadowNeed {
+				c.statPlansShadowRejected++
 				continue
 			}
 			freeAtShadow -= j.Cores
@@ -1043,15 +1067,7 @@ func (c *Controller) pass(now int64) {
 	}
 
 	if startedCount > 0 {
-		// commit flipped started jobs to StateRunning, so the pending
-		// queue filters on state — no per-pass started set needed.
-		kept := c.pending[:0]
-		for _, j := range c.pending {
-			if j.State == job.StatePending {
-				kept = append(kept, j)
-			}
-		}
-		c.pending = kept
+		c.dropStarted(startedCount)
 		return
 	}
 	// Nothing launched: memoize the refusal so the next pass can skip
@@ -1068,6 +1084,29 @@ func (c *Controller) pass(now int64) {
 		c.passMemoNow = now
 		c.passMemoMinFail = mf
 	}
+}
+
+// dropStarted removes the n jobs the pass just launched from the pending
+// queue, keeping the order of the rest. Between passes every queued job
+// is StatePending — submit is the only writer and commit, inside the
+// pass, the only state flip — so exactly n entries are not pending. The
+// filter stops at the n-th and the untouched tail moves in one copy:
+// the cost is the prefix up to the last launched job, not the queue.
+// The same path serves FCFS and the priority orderings, which launch
+// jobs scattered through the queue.
+func (c *Controller) dropStarted(n int) {
+	kept := c.pending[:0]
+	for i, j := range c.pending {
+		if j.State == job.StatePending {
+			kept = append(kept, j)
+			continue
+		}
+		if n--; n == 0 {
+			c.pending = append(kept, c.pending[i+1:]...)
+			return
+		}
+	}
+	panic(fmt.Sprintf("rjms: pending queue out of sync: %d launched jobs not found", n))
 }
 
 // optimalFutureFreq returns the highest policy-ladder frequency at which

@@ -31,6 +31,9 @@ type serverMetrics struct {
 	engineEvents *obs.Counter
 	passRun      *obs.Counter
 	passSkipped  *obs.Counter
+	planCommit   *obs.Counter
+	planShadow   *obs.Counter
+	planRefused  *obs.Counter
 	memoHit      *obs.Counter
 	memoMiss     *obs.Counter
 
@@ -60,6 +63,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Scheduling passes, by whether the probe cycle ran or the pass memo skipped it.", "result")
 	m.passRun = engine.With("run")
 	m.passSkipped = engine.With("skipped")
+	plans := reg.CounterVec("simd_engine_plans_total",
+		"Allocation plans probed by scheduling passes, by outcome: committed, discarded by the backfill shadow check, or refused (cores or power).", "result")
+	m.planCommit = plans.With("committed")
+	m.planShadow = plans.With("shadow_rejected")
+	m.planRefused = plans.With("refused")
 	memo := reg.CounterVec("simd_engine_projection_memo_total",
 		"Power projection memo lookups during scheduling passes.", "result")
 	m.memoHit = memo.With("hit")

@@ -101,6 +101,7 @@ func TestDaemonMetricsUnderLoad(t *testing.T) {
 		"simd_run_stage_seconds_count":   2, // at least queued+execute observed
 		"simd_engine_events_total":       1,
 		"simd_engine_sched_passes_total": 1,
+		"simd_engine_plans_total":        1,
 		"simd_cache_tier_hits_total":     1,
 		"simd_executions_total":          1,
 		"simd_cache_hits_total":          1,

@@ -1059,6 +1059,11 @@ func (s *Server) observeFn(r *run) sim.Observer {
 			met.engineEvents.Add(cur.EventsFired - last.EventsFired)
 			met.passRun.Add(cur.Passes - last.Passes)
 			met.passSkipped.Add(cur.PassesSkipped - last.PassesSkipped)
+			committed := cur.PlansCommitted - last.PlansCommitted
+			shadow := cur.PlansShadowRejected - last.PlansShadowRejected
+			met.planCommit.Add(committed)
+			met.planShadow.Add(shadow)
+			met.planRefused.Add(cur.PlansProbed - last.PlansProbed - committed - shadow)
 			met.memoHit.Add(cur.ProjectionMemoHits - last.ProjectionMemoHits)
 			met.memoMiss.Add(cur.ProjectionMemoMiss - last.ProjectionMemoMiss)
 			last = cur
