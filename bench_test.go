@@ -24,9 +24,11 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/experiment"
 	"repro/internal/figures"
+	"repro/internal/job"
 	"repro/internal/model"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/reservation"
 	"repro/internal/rjms"
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -351,6 +353,68 @@ func BenchmarkAllocateFullCurie(b *testing.B) {
 		if sched.Allocate(c, 512, nil) == nil {
 			b.Fatal("allocation failed")
 		}
+	}
+}
+
+// BenchmarkAllocateProbe measures one scheduling-pass allocation probe
+// as rjms.plan issues it under a powercap reservation: build the
+// switch-off blocked mask for the probe span into a reused buffer, then
+// walk the candidate indexes with the reserved-node preference into a
+// reused allocation buffer. The cluster is 2 Curie racks with every
+// even node half busy; one switch-off window is active over the probe
+// span (its chassis is blocked), another opens later (its chassis is
+// reserved but still eligible and preferred). The 1024-core request
+// takes from all four walks: preferred busy-partial and idle, then the
+// rest. A probe must not allocate.
+func BenchmarkAllocateProbe(b *testing.B) {
+	topo := cluster.CurieTopology()
+	topo.Racks = 2
+	c, err := cluster.New(topo, power.CurieProfile(), cluster.CurieOverhead())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := cluster.NodeID(0); int(id) < c.Nodes(); id += 2 {
+		if err := c.Occupy(id, topo.CoresPerNode/2, dvfs.F2700); err != nil {
+			b.Fatal(err)
+		}
+	}
+	book := reservation.NewBook()
+	chassis := func(ch int) []cluster.NodeID {
+		first, n := topo.ChassisNodes(ch)
+		nodes := make([]cluster.NodeID, n)
+		for i := range nodes {
+			nodes[i] = first + cluster.NodeID(i)
+		}
+		return nodes
+	}
+	const now, span = 1000, 3600
+	for _, w := range []struct {
+		start, end int64
+		nodes      []cluster.NodeID
+	}{
+		{now - 100, now + 7200, chassis(topo.Chassis() - 1)}, // active: blocks the span
+		{now + 2*span, now + 3*span, chassis(topo.ChassisPerRack)},
+	} {
+		if _, err := book.AddSwitchOff(w.start, w.end, w.nodes); err != nil {
+			b.Fatal(err)
+		}
+		for _, id := range w.nodes {
+			if err := c.SetReserved(id, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	blocked := cluster.NewNodeMask(c.Nodes())
+	var buf []job.Alloc
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		book.BlockedMask(blocked, now, now+span, 0)
+		allocs, found := sched.AllocateInto(buf, c, 1024, blocked, true)
+		if !found {
+			b.Fatal("probe found no allocation")
+		}
+		buf = allocs[:0]
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -30,18 +31,27 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Report is the JSON envelope.
+// Report is the JSON envelope. Goos, Goarch, Pkg, CPU, GoVersion and
+// GOMAXPROCS record the host a report was measured on; Compare ignores
+// them.
 type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GoVersion is the toolchain bench2json runs under — the one that
+	// built the benchmarks when it is invoked with `go run` beside the
+	// `go test` it reads, as CI does.
+	GoVersion string `json:"go_version,omitempty"`
+	// GOMAXPROCS is the "-N" suffix go test appends to the first
+	// benchmark name (no suffix means 1).
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 // Parse reads `go test -bench` text output into a Report.
 func Parse(r io.Reader) (Report, error) {
-	rep := Report{Benchmarks: []Benchmark{}}
+	rep := Report{GoVersion: runtime.Version(), Benchmarks: []Benchmark{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -65,6 +75,11 @@ func Parse(r io.Reader) (Report, error) {
 		b, err := parseBenchLine(line)
 		if err != nil {
 			return rep, err
+		}
+		if len(rep.Benchmarks) == 0 {
+			if _, rep.GOMAXPROCS = splitProcs(b.Name); rep.GOMAXPROCS == 0 {
+				rep.GOMAXPROCS = 1
+			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)
 	}
@@ -147,16 +162,25 @@ func Compare(baseline, rep Report, tolerance float64) []string {
 // core counts (and baselines recorded at GOMAXPROCS=1, which carry no
 // suffix at all).
 func stripProcs(name string) string {
+	base, _ := splitProcs(name)
+	return base
+}
+
+// splitProcs splits a benchmark name into its base and the
+// "-<GOMAXPROCS>" suffix value (0 when there is none).
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i <= 0 || i == len(name)-1 {
-		return name
+		return name, 0
 	}
+	procs := 0
 	for _, c := range name[i+1:] {
 		if c < '0' || c > '9' {
-			return name
+			return name, 0
 		}
+		procs = procs*10 + int(c-'0')
 	}
-	return name[:i]
+	return name[:i], procs
 }
 
 func main() {

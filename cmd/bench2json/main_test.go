@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -162,5 +164,49 @@ func TestCompareStripsProcsSuffix(t *testing.T) {
 	}
 	if got := stripProcs("BenchmarkX-16"); got != "BenchmarkX" {
 		t.Errorf("stripProcs(-16) = %q", got)
+	}
+}
+
+// TestParseStampsHost checks the host metadata: the toolchain bench2json
+// runs under, and GOMAXPROCS from the first benchmark's "-N" suffix (no
+// suffix is a GOMAXPROCS=1 run). Compare ignores both, so a baseline
+// from another toolchain or core count gates the same way.
+func TestParseStampsHost(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int
+	}{
+		{"BenchmarkSweep/serial-8   1  9000 ns/op\nBenchmarkX-4  1  5 ns/op\n", 8},
+		{"BenchmarkSweep/serial   1  9000 ns/op\n", 1},
+		{"PASS\n", 0},
+	} {
+		rep, err := Parse(strings.NewReader("cpu: Test CPU\n" + tc.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.GOMAXPROCS != tc.want {
+			t.Errorf("GOMAXPROCS of %q = %d, want %d", tc.in, rep.GOMAXPROCS, tc.want)
+		}
+		if rep.GoVersion != runtime.Version() {
+			t.Errorf("GoVersion = %q, want %q", rep.GoVersion, runtime.Version())
+		}
+	}
+	out, err := json.Marshal(Report{GoVersion: "go1.0", GOMAXPROCS: 2, Benchmarks: []Benchmark{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"go_version":"go1.0"`, `"gomaxprocs":2`} {
+		if !strings.Contains(string(out), key) {
+			t.Errorf("JSON %s lacks %s", out, key)
+		}
+	}
+
+	bench := []Benchmark{{Name: "BenchmarkX", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 3}}}
+	baseline := Report{GoVersion: "go1.21.0", GOMAXPROCS: 1, CPU: "old", Benchmarks: bench}
+	current := Report{GoVersion: "go1.24.0", GOMAXPROCS: 64, CPU: "new", Benchmarks: []Benchmark{
+		{Name: "BenchmarkX-64", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 3}},
+	}}
+	if regs := Compare(baseline, current, 0.20); len(regs) != 0 {
+		t.Errorf("host metadata changed the verdict: %v", regs)
 	}
 }

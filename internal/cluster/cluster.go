@@ -35,11 +35,13 @@ type Cluster struct {
 	reservedDraw float64           // sum over reserved nodes of draw-down
 	maxPowerOnce power.Watts
 
-	// Allocation candidate indexes, maintained by transition: busy nodes
-	// with at least one free core, and idle nodes. Allocation probes walk
-	// these instead of scanning every node.
-	partialBusy bitset
-	idleSet     bitset
+	// Allocation candidate indexes: busy nodes with at least one free
+	// core and idle nodes (maintained by transition), and nodes flagged
+	// by switch-off reservations (maintained by SetReserved). Allocation
+	// probes walk these a word at a time instead of scanning every node.
+	partialBusy NodeMask
+	idleSet     NodeMask
+	reserved    NodeMask
 }
 
 // New builds a cluster with every node powered on and idle.
@@ -63,12 +65,13 @@ func New(topo Topology, profile *power.Profile, overhead Overhead) (*Cluster, er
 		offChassisCount: make([]int, topo.Racks),
 		fullOffRack:     make([]bool, topo.Racks),
 		coresByFreq:     make(map[dvfs.Freq]int),
-		partialBusy:     newBitset(topo.Nodes()),
-		idleSet:         newBitset(topo.Nodes()),
+		partialBusy:     NewNodeMask(topo.Nodes()),
+		idleSet:         NewNodeMask(topo.Nodes()),
+		reserved:        NewNodeMask(topo.Nodes()),
 	}
 	for i := range c.nodes {
 		c.nodes[i].state = StateIdle
-		c.idleSet.set(i)
+		c.idleSet.Set(NodeID(i))
 	}
 	c.counts[StateIdle] = topo.Nodes()
 	c.nodeWatts = float64(profile.Idle()) * float64(topo.Nodes())
@@ -103,8 +106,12 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 // Cores returns the total core count.
 func (c *Cluster) Cores() int { return c.topo.Cores() }
 
+// inRange reports whether id names a node. Unlike checkID it inlines,
+// so the read accessors on the allocation hot path stay call-free.
+func (c *Cluster) inRange(id NodeID) bool { return id >= 0 && int(id) < len(c.nodes) }
+
 func (c *Cluster) checkID(id NodeID) error {
-	if int(id) < 0 || int(id) >= len(c.nodes) {
+	if !c.inRange(id) {
 		return fmt.Errorf("cluster: node %d out of range [0,%d)", id, len(c.nodes))
 	}
 	return nil
@@ -150,16 +157,16 @@ func (c *Cluster) transition(id NodeID, st NodeState, f dvfs.Freq, usedCores int
 	}
 	if isIdle := st == StateIdle; isIdle != wasIdle {
 		if isIdle {
-			c.idleSet.set(int(id))
+			c.idleSet.Set(id)
 		} else {
-			c.idleSet.clear(int(id))
+			c.idleSet.unset(id)
 		}
 	}
 	if isPartialBusy := st == StateBusy && usedCores < c.topo.CoresPerNode; isPartialBusy != wasPartialBusy {
 		if isPartialBusy {
-			c.partialBusy.set(int(id))
+			c.partialBusy.Set(id)
 		} else {
-			c.partialBusy.clear(int(id))
+			c.partialBusy.unset(id)
 		}
 	}
 	c.nodeWatts += c.draw(n) - before
@@ -320,9 +327,11 @@ func (c *Cluster) SetReserved(id NodeID, v bool) error {
 		if v {
 			c.reservedOff++
 			c.reservedDraw += margin
+			c.reserved.Set(id)
 		} else {
 			c.reservedOff--
 			c.reservedDraw -= margin
+			c.reserved.unset(id)
 		}
 	}
 	return nil
@@ -351,7 +360,7 @@ func (c *Cluster) Info(id NodeID) (NodeInfo, error) {
 
 // State returns the state of node id; out-of-range IDs report StateOff.
 func (c *Cluster) State(id NodeID) NodeState {
-	if c.checkID(id) != nil {
+	if !c.inRange(id) {
 		return StateOff
 	}
 	return c.nodes[id].state
@@ -359,7 +368,7 @@ func (c *Cluster) State(id NodeID) NodeState {
 
 // FreeCores returns the unallocated cores of node id (0 when off).
 func (c *Cluster) FreeCores(id NodeID) int {
-	if c.checkID(id) != nil {
+	if !c.inRange(id) {
 		return 0
 	}
 	n := &c.nodes[id]
@@ -371,7 +380,7 @@ func (c *Cluster) FreeCores(id NodeID) int {
 
 // Reserved reports the switch-off reservation flag of node id.
 func (c *Cluster) Reserved(id NodeID) bool {
-	if c.checkID(id) != nil {
+	if !c.inRange(id) {
 		return false
 	}
 	return c.nodes[id].reserved
@@ -474,25 +483,16 @@ func (c *Cluster) BonusWatts() power.Watts {
 	return power.Watts(w)
 }
 
-// ForEachBusyFree calls fn in ascending ID order for every busy node
-// with at least one free core, passing the free-core count. fn
-// returning false stops the walk; fn must not mutate the cluster.
-// This walks the maintained candidate index, so a full machine costs
-// nothing to scan — the allocation hot path of the scheduling pass.
-func (c *Cluster) ForEachBusyFree(fn func(id NodeID, free int) bool) {
-	per := c.topo.CoresPerNode
-	c.partialBusy.forEach(func(i int) bool {
-		return fn(NodeID(i), per-c.nodes[i].usedCores)
-	})
-}
-
-// ForEachIdle calls fn in ascending ID order for every idle node (all
-// cores free). fn returning false stops the walk; fn must not mutate
-// the cluster.
-func (c *Cluster) ForEachIdle(fn func(id NodeID) bool) {
-	c.idleSet.forEach(func(i int) bool {
-		return fn(NodeID(i))
-	})
+// AllocIndex returns the cluster's allocation candidate indexes: busy
+// nodes with at least one free core, idle nodes (all cores free), and
+// nodes flagged by a switch-off reservation. Off nodes and full busy
+// nodes are in neither of the first two, so a walk of them in
+// ascending ID order visits exactly the nodes a job could be placed on
+// — the allocation hot path of the scheduling pass. The masks alias
+// the live indexes: they reflect later mutations and must never be
+// written through.
+func (c *Cluster) AllocIndex() (partialBusy, idle, reserved NodeMask) {
+	return c.partialBusy, c.idleSet, c.reserved
 }
 
 // ForEach calls fn for every node in ID order; fn returning false stops the

@@ -672,3 +672,59 @@ func TestPlannedSavingDeduplicates(t *testing.T) {
 		t.Errorf("invalid IDs saving = %v, want 0", got)
 	}
 }
+
+// Property: after any random sequence of operations the allocation
+// indexes agree node by node with Info — PartialBusy holds exactly the
+// busy nodes with a free core, Idle the idle nodes and Reserved the
+// flagged ones. 70 nodes span two index words.
+func TestAllocIndexMatchesNodeState(t *testing.T) {
+	type op struct {
+		Kind  uint8
+		Node  uint8
+		Cores uint8
+	}
+	topo := Topology{Racks: 1, ChassisPerRack: 5, NodesPerChassis: 14, CoresPerNode: 3}
+	f := func(ops []op) bool {
+		c, err := New(topo, power.CurieProfile(), CurieOverhead())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range ops {
+			id := NodeID(int(o.Node) % c.Nodes())
+			info, _ := c.Info(id)
+			switch o.Kind % 6 {
+			case 0:
+				if cores := int(o.Cores)%3 + 1; info.State != StateOff && c.FreeCores(id) >= cores {
+					err = c.Occupy(id, cores, 0)
+				}
+			case 1:
+				if info.State == StateBusy {
+					err = c.Vacate(id, int(o.Cores)%info.UsedCores+1, 0)
+				}
+			case 2:
+				if info.State == StateIdle {
+					err = c.PowerOff(id)
+				}
+			case 3:
+				err = c.PowerOn(id)
+			default:
+				err = c.SetReserved(id, o.Kind%6 == 4)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		busy, idle, reserved := c.AllocIndex()
+		ok := true
+		c.ForEach(func(n NodeInfo) bool {
+			ok = busy.Has(n.ID) == (n.State == StateBusy && n.UsedCores < topo.CoresPerNode) &&
+				idle.Has(n.ID) == (n.State == StateIdle) &&
+				reserved.Has(n.ID) == n.Reserved
+			return ok
+		})
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

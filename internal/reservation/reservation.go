@@ -50,10 +50,10 @@ type Book struct {
 	nextID int
 	caps   []PowerCap
 	offs   []SwitchOff
-	// offSets[i] is the node-membership lookup of offs[i]: a dense
-	// []bool indexed by NodeID, so the per-probe NodeBlocked check is
-	// O(windows) instead of O(windows x group size).
-	offSets [][]bool
+	// offMasks[i] is the node membership of offs[i], long enough for
+	// the group's highest ID. It is the one membership representation:
+	// NodeBlocked tests one bit of it and BlockedMask ORs whole words.
+	offMasks []cluster.NodeMask
 }
 
 // NewBook returns an empty reservation book.
@@ -95,13 +95,13 @@ func (b *Book) AddSwitchOff(start, end int64, nodes []cluster.NodeID) (int, erro
 			maxID = n
 		}
 	}
-	set := make([]bool, int(maxID)+1)
+	mask := cluster.NewNodeMask(int(maxID) + 1)
 	for _, n := range cp {
 		if n >= 0 {
-			set[n] = true
+			mask.Set(n)
 		}
 	}
-	b.offSets = append(b.offSets, set)
+	b.offMasks = append(b.offMasks, mask)
 	return id, nil
 }
 
@@ -135,7 +135,7 @@ func (b *Book) Remove(id int) {
 	for i, o := range b.offs {
 		if o.ID == id {
 			b.offs = append(b.offs[:i], b.offs[i+1:]...)
-			b.offSets = append(b.offSets[:i], b.offSets[i+1:]...)
+			b.offMasks = append(b.offMasks[:i], b.offMasks[i+1:]...)
 			return
 		}
 	}
@@ -232,19 +232,43 @@ func (b *Book) SwitchOffs() []SwitchOff {
 // stays high until the window, then the group powers down sharply).
 func (b *Book) NodeBlocked(id cluster.NodeID, from, to int64, lead int64) bool {
 	for i := range b.offs {
-		o := &b.offs[i]
-		if o.Start >= to || o.End <= from {
-			continue // job span does not touch the window
-		}
-		if from < o.Start-lead {
-			continue // reservation not yet blocking allocations
-		}
-		set := b.offSets[i]
-		if int(id) >= 0 && int(id) < len(set) && set[id] {
+		if b.offs[i].blocks(from, to, lead) && b.offMasks[i].Has(id) {
 			return true
 		}
 	}
 	return false
+}
+
+// BlockedMask writes into dst the nodes NodeBlocked reports for the
+// span [from, to) under the given lead: dst.Has(id) holds exactly when
+// NodeBlocked(id, from, to, lead) is true, for every id dst can hold
+// (members beyond its length are dropped). dst is cleared first. This
+// is the word-parallel form the allocation probe uses — one pass over
+// the blocking windows per probe instead of one per candidate node.
+func (b *Book) BlockedMask(dst cluster.NodeMask, from, to, lead int64) {
+	clear(dst)
+	for i := range b.offs {
+		if !b.offs[i].blocks(from, to, lead) {
+			continue
+		}
+		mask := b.offMasks[i]
+		if len(mask) > len(dst) {
+			mask = mask[:len(dst)]
+		}
+		for w, m := range mask {
+			dst[w] |= m
+		}
+	}
+}
+
+// blocks reports whether the window refuses work for a job spanning
+// [from, to): the span must touch the window, and the reservation
+// starts refusing only `lead` seconds before the window opens.
+func (o *SwitchOff) blocks(from, to, lead int64) bool {
+	if o.Start >= to || o.End <= from {
+		return false // job span does not touch the window
+	}
+	return from >= o.Start-lead // otherwise not yet blocking allocations
 }
 
 // offPhase classifies instant t against a switch-off window's blocking

@@ -1,6 +1,7 @@
 package reservation
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -232,5 +233,64 @@ func TestUpdateCap(t *testing.T) {
 	}
 	if err := b.UpdateCap(offID, power.CapWatts(100)); err == nil {
 		t.Error("UpdateCap of a switch-off ID: want error")
+	}
+}
+
+// TestBlockedMaskMatchesNodeBlocked checks the word-parallel blocked
+// mask against the per-node query on random books: every bit of
+// BlockedMask(dst, from, to, lead) must equal NodeBlocked(id, from, to,
+// lead). Windows cover random node groups whose highest ID often lies
+// below the cluster size (a mask shorter than dst) and sometimes beyond
+// it (members dst cannot hold are dropped); spans and leads are random,
+// and removals keep the remaining windows' masks aligned.
+func TestBlockedMaskMatchesNodeBlocked(t *testing.T) {
+	rng := rand.New(rand.NewSource(7919))
+	blockedBits := 0
+	for trial := 0; trial < 400; trial++ {
+		nodes := 1 + rng.Intn(300)
+		dst := cluster.NewNodeMask(nodes)
+		b := NewBook()
+		var ids []int
+		for k := rng.Intn(6); k > 0; k-- {
+			start := int64(rng.Intn(1000))
+			maxID := rng.Intn(nodes)
+			if rng.Intn(4) == 0 {
+				maxID = nodes + rng.Intn(nodes)
+			}
+			group := []cluster.NodeID{cluster.NodeID(maxID)}
+			for n := rng.Intn(maxID + 1); n > 0; n-- {
+				group = append(group, cluster.NodeID(rng.Intn(maxID+1)))
+			}
+			id, err := b.AddSwitchOff(start, start+1+int64(rng.Intn(500)), group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		if len(ids) > 1 && rng.Intn(3) == 0 {
+			b.Remove(ids[rng.Intn(len(ids))])
+		}
+		for k := 0; k < 10; k++ {
+			from := int64(rng.Intn(1600)) - 50
+			to := from + 1 + int64(rng.Intn(800))
+			lead := []int64{0, int64(rng.Intn(300)), 1 << 40}[rng.Intn(3)]
+			for w := range dst {
+				dst[w] = rng.Uint64() // stale bits must be cleared
+			}
+			b.BlockedMask(dst, from, to, lead)
+			for id := 0; id < len(dst)*64; id++ {
+				got := dst.Has(cluster.NodeID(id))
+				if want := b.NodeBlocked(cluster.NodeID(id), from, to, lead); got != want {
+					t.Fatalf("trial %d: node %d over [%d,%d) lead %d: mask %v, NodeBlocked %v",
+						trial, id, from, to, lead, got, want)
+				}
+				if got {
+					blockedBits++
+				}
+			}
+		}
+	}
+	if blockedBits == 0 {
+		t.Fatal("no random window ever blocked a node")
 	}
 }

@@ -102,6 +102,7 @@ type Controller struct {
 	// (see the sweep benchmark for the aggregate cost).
 	viewBuf  []sched.RunningJob // running view, sorted by expected end
 	allocBuf []job.Alloc        // allocation probe candidates
+	blockBuf cluster.NodeMask   // switch-off blocked nodes of the current probe
 	nodeBuf  []cluster.NodeID   // node list of the current probe
 	orderer  sched.Orderer      // priority-ordered pending queue
 
@@ -111,13 +112,11 @@ type Controller struct {
 	// allocation profile), so the closures are built once in New and
 	// read the plan* fields the current probe sets.
 	planNow    int64
-	planEndMax int64
 	planJob    *job.Job
 	planCapNow power.Cap
 	planNodes  []cluster.NodeID
-	eligibleFn func(cluster.NodeID) bool
+	eligibleFn func(cluster.NodeID) bool // !blockBuf, for AllocateCompact
 	admitFn    func(dvfs.Freq) bool
-	reservedFn func(cluster.NodeID) bool
 	passFn     simengine.Handler
 }
 
@@ -148,6 +147,7 @@ func New(cfg Config) (*Controller, error) {
 		weights:    sched.DefaultMultifactor(cfg.Topology.Cores()),
 		offPending: map[cluster.NodeID]bool{},
 		failed:     map[cluster.NodeID]bool{},
+		blockBuf:   cluster.NewNodeMask(cfg.Topology.Nodes()),
 	}
 	if cfg.MeasuredPowerNoise > 0 {
 		sensor, err := powerlog.NewSensor(cfg.MeasuredPowerSeed, cfg.MeasuredPowerNoise, 0)
@@ -163,9 +163,8 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.rec = metrics.NewRecorder(0, clus.Power(), 0)
 	c.eligibleFn = func(id cluster.NodeID) bool {
-		return !c.book.NodeBlocked(id, c.planNow, c.planEndMax, c.cfg.ReservationLead)
+		return !c.blockBuf.Has(id)
 	}
-	c.reservedFn = clus.Reserved
 	c.admitFn = func(f dvfs.Freq) bool {
 		now, j := c.planNow, c.planJob
 		end := now + j.ScaledWalltime(c.pm.Deg, f)
@@ -853,22 +852,21 @@ func (c *Controller) plan(j *job.Job, now int64) (pl planned, ok, allocFail bool
 		return planned{}, false, true
 	}
 	wallMax := j.ScaledWalltime(c.pm.Deg, c.pm.Ladder.Min())
-	c.planNow, c.planEndMax = now, now+wallMax
+	c.planNow = now
+	c.book.BlockedMask(c.blockBuf, now, now+wallMax, c.cfg.ReservationLead)
 	var (
 		allocs []job.Alloc
 		found  bool
 	)
-	if c.clus.ReservedCount() > 0 {
-		// Pack nodes earmarked for switch-off first: work there drains
-		// away before the window, saving the survivors' budget.
-		allocs, found = sched.AllocateInto(c.allocBuf, c.clus, j.Cores, c.eligibleFn, c.reservedFn)
+	if reserved := c.clus.ReservedCount() > 0; reserved || !c.cfg.CompactPlacement {
+		// With reservations, pack nodes earmarked for switch-off first:
+		// work there drains away before the window, saving the
+		// survivors' budget.
+		allocs, found = sched.AllocateInto(c.allocBuf, c.clus, j.Cores, c.blockBuf, reserved)
 		c.allocBuf = allocs[:0] // keep the grown probe buffer
-	} else if c.cfg.CompactPlacement {
+	} else {
 		allocs = sched.AllocateCompact(c.clus, j.Cores, c.eligibleFn)
 		found = allocs != nil
-	} else {
-		allocs, found = sched.AllocateInto(c.allocBuf, c.clus, j.Cores, c.eligibleFn, nil)
-		c.allocBuf = allocs[:0]
 	}
 	if !found {
 		return planned{}, false, true
@@ -1090,23 +1088,36 @@ func (c *Controller) pass(now int64) {
 // queue, keeping the order of the rest. Between passes every queued job
 // is StatePending — submit is the only writer and commit, inside the
 // pass, the only state flip — so exactly n entries are not pending. The
-// filter stops at the n-th and the untouched tail moves in one copy:
-// the cost is the prefix up to the last launched job, not the queue.
-// The same path serves FCFS and the priority orderings, which launch
-// jobs scattered through the queue.
+// scan stops at the n-th; the still-pending jobs before it shift right
+// over the launched slots, the n freed head slots are nilled (so the
+// launched jobs are not kept alive through the backing array) and the
+// queue is resliced past them. The cost is the prefix up to the last
+// launched job — at most BackfillDepth under FCFS — not the queue. The
+// same path serves the priority orderings, which launch jobs scattered
+// through the queue.
 func (c *Controller) dropStarted(n int) {
-	kept := c.pending[:0]
-	for i, j := range c.pending {
-		if j.State == job.StatePending {
-			kept = append(kept, j)
-			continue
-		}
-		if n--; n == 0 {
-			c.pending = append(kept, c.pending[i+1:]...)
-			return
+	q := c.pending
+	last, seen := -1, 0
+	for i, j := range q {
+		if j.State != job.StatePending {
+			if seen++; seen == n {
+				last = i
+				break
+			}
 		}
 	}
-	panic(fmt.Sprintf("rjms: pending queue out of sync: %d launched jobs not found", n))
+	if last < 0 {
+		panic(fmt.Sprintf("rjms: pending queue out of sync: %d launched jobs not found", n-seen))
+	}
+	dst := last
+	for i := last - 1; i >= 0; i-- {
+		if q[i].State == job.StatePending {
+			q[dst] = q[i]
+			dst--
+		}
+	}
+	clear(q[:n])
+	c.pending = q[n:]
 }
 
 // optimalFutureFreq returns the highest policy-ladder frequency at which

@@ -1,111 +1,108 @@
 package sched
 
 import (
+	"math/bits"
+
 	"repro/internal/cluster"
 	"repro/internal/job"
 )
 
-// Allocate finds cores for a job on the cluster. It packs partially used
-// busy nodes first (cheapest under the powercap: the paper notes jobs
-// "filling partially used nodes will always pass the powercapping
-// criteria"), then idle nodes in ascending ID order. eligible filters
-// nodes (nil accepts all powered-on nodes); off nodes are never used.
-// Returns nil when the request cannot be satisfied.
+// Allocate finds cores for a job on the cluster — AllocateInto with a
+// fresh buffer, no preference and a node filter: eligible (nil accepts
+// all powered-on nodes) is folded into a blocked mask once. Returns nil
+// when the request cannot be satisfied.
 func Allocate(c *cluster.Cluster, cores int, eligible func(cluster.NodeID) bool) []job.Alloc {
-	return AllocatePreferring(c, cores, eligible, nil)
-}
-
-// AllocatePreferring is Allocate with a node preference: preferred nodes
-// are packed before the others (busy-partial first within each class).
-// The powercap controller prefers nodes earmarked for an upcoming
-// switch-off — work placed there drains away before the window while the
-// surviving nodes' power budget is saved for jobs that outlast it.
-func AllocatePreferring(c *cluster.Cluster, cores int, eligible, prefer func(cluster.NodeID) bool) []job.Alloc {
-	allocs, found := AllocateInto(nil, c, cores, eligible, prefer)
+	var blocked cluster.NodeMask
+	if eligible != nil {
+		blocked = cluster.NewNodeMask(c.Nodes())
+		for id := cluster.NodeID(0); int(id) < c.Nodes(); id++ {
+			if !eligible(id) {
+				blocked.Set(id)
+			}
+		}
+	}
+	allocs, found := AllocateInto(nil, c, cores, blocked, false)
 	if !found {
 		return nil
 	}
 	return allocs
 }
 
-// AllocateInto is AllocatePreferring appending into dst[:0]. A
-// scheduling pass probes allocations for many jobs per event and most
-// probes fail (the cluster is full or the power check refuses); reusing
-// one candidate buffer across probes removes that churn. The returned
-// slice always carries the (possibly grown) buffer so the caller can
-// keep reusing it; found reports whether it holds a complete
-// allocation. The slice aliases dst's backing array — callers that
-// retain a successful allocation (e.g. in job state) must copy it out
-// first.
-func AllocateInto(dst []job.Alloc, c *cluster.Cluster, cores int, eligible, prefer func(cluster.NodeID) bool) (allocs []job.Alloc, found bool) {
-	if cores <= 0 {
-		return dst[:0], false
-	}
-	ok := eligible
-	if ok == nil {
-		ok = func(cluster.NodeID) bool { return true }
-	}
-	need := cores
+// AllocateInto finds cores for a job, appending into dst[:0]. It packs
+// partially used busy nodes first (cheapest under the powercap: the
+// paper notes jobs "filling partially used nodes will always pass the
+// powercapping criteria"), then idle nodes, each in ascending ID order.
+// Off nodes are never used, and neither are nodes in blocked (nil or a
+// short mask blocks nothing beyond its length). With preferReserved,
+// nodes earmarked for an upcoming switch-off are packed before the
+// others (busy-partial first within each class): work placed there
+// drains away before the window while the surviving nodes' power
+// budget is saved for jobs that outlast it.
+//
+// The walk reads the cluster's candidate indexes a word at a time —
+// (set &^ blocked) & reserved, then (set &^ blocked) &^ reserved — so a
+// probe costs a few word operations per 64 nodes plus one step per
+// node taken. A scheduling pass probes allocations for many jobs per
+// event and most probes fail, so the caller passes one reused buffer:
+// the returned slice always carries the (possibly grown) buffer, and
+// found reports whether it holds a complete allocation. The slice
+// aliases dst's backing array — callers that retain a successful
+// allocation (e.g. in job state) must copy it out first.
+func AllocateInto(dst []job.Alloc, c *cluster.Cluster, cores int, blocked cluster.NodeMask, preferReserved bool) (allocs []job.Alloc, found bool) {
 	allocs = dst[:0]
-
-	grabNode := func(id cluster.NodeID, free int, preferred bool) bool {
-		if need <= 0 {
-			return false
-		}
-		if prefer != nil && prefer(id) != preferred {
-			return true
-		}
-		if !ok(id) {
-			return true
-		}
-		grab := free
-		if grab > need {
-			grab = need
-		}
-		allocs = append(allocs, job.Alloc{Node: id, Cores: grab})
-		need -= grab
-		return true
+	if cores <= 0 {
+		return allocs, false
 	}
-	// The cluster's candidate indexes (busy-with-free-cores, idle) walk
-	// in ascending ID order, exactly the nodes the old full scan kept:
-	// full busy nodes were skipped (free <= 0) and off nodes never
-	// qualify for either state.
-	perNode := c.Topology().CoresPerNode
-	takeBusy := func(preferred bool) {
-		c.ForEachBusyFree(func(id cluster.NodeID, free int) bool {
-			return grabNode(id, free, preferred)
-		})
-	}
-	takeIdle := func(preferred bool) {
-		c.ForEachIdle(func(id cluster.NodeID) bool {
-			return grabNode(id, perNode, preferred)
-		})
-	}
-	if prefer != nil {
-		takeBusy(true)
-		takeIdle(true)
-	}
-	takeBusy(false)
-	if need > 0 {
-		takeIdle(false)
+	busy, idle, reserved := c.AllocIndex()
+	need := cores
+	if preferReserved {
+		allocs, need = take(allocs, need, c, busy, blocked, reserved, onlyReserved)
+		allocs, need = take(allocs, need, c, idle, blocked, reserved, onlyReserved)
+		allocs, need = take(allocs, need, c, busy, blocked, reserved, skipReserved)
+		allocs, need = take(allocs, need, c, idle, blocked, reserved, skipReserved)
+	} else {
+		allocs, need = take(allocs, need, c, busy, blocked, nil, anyReserved)
+		allocs, need = take(allocs, need, c, idle, blocked, nil, anyReserved)
 	}
 	return allocs, need <= 0
 }
 
-// FreeCores returns the total free cores on powered-on nodes accepted by
-// eligible (nil accepts all). Used as the quick feasibility check before
-// a full Allocate scan.
-func FreeCores(c *cluster.Cluster, eligible func(cluster.NodeID) bool) int {
-	total := 0
-	c.ForEach(func(n cluster.NodeInfo) bool {
-		if n.State == cluster.StateOff {
-			return true
+// Reserved-flag filters of one take over a candidate index.
+const (
+	anyReserved = iota
+	onlyReserved
+	skipReserved
+)
+
+// take appends nodes of set in ascending ID order, minus blocked and
+// filtered by the reserved flag, until need cores are covered; a met
+// request takes nothing more. It returns the grown allocs and the
+// cores still needed.
+func take(allocs []job.Alloc, need int, c *cluster.Cluster, set, blocked, reserved cluster.NodeMask, filter int) ([]job.Alloc, int) {
+	if need <= 0 {
+		return allocs, need
+	}
+	for i, word := range set {
+		if i < len(blocked) {
+			word &^= blocked[i]
 		}
-		if eligible != nil && !eligible(n.ID) {
-			return true
+		switch filter {
+		case onlyReserved:
+			word &= reserved[i]
+		case skipReserved:
+			word &^= reserved[i]
 		}
-		total += c.FreeCores(n.ID)
-		return true
-	})
-	return total
+		for ; word != 0; word &= word - 1 {
+			id := cluster.NodeID(i<<6 + bits.TrailingZeros64(word))
+			grab := c.FreeCores(id)
+			if grab > need {
+				grab = need
+			}
+			allocs = append(allocs, job.Alloc{Node: id, Cores: grab})
+			if need -= grab; need <= 0 {
+				return allocs, need
+			}
+		}
+	}
+	return allocs, need
 }

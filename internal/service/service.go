@@ -175,6 +175,9 @@ type run struct {
 	reportJSON []byte
 	errMsg     string
 	events     []Event
+	// stages holds the queued/setup/execute timings finishLocked
+	// stamps at the terminal transition; retire adds render and archive.
+	stages StageTimings
 }
 
 func (r *run) appendEventLocked(typ string, e Event) {
@@ -555,6 +558,7 @@ func (s *Server) retire(r *run) {
 	rec.Events = append([]Event(nil), r.events...)
 	rec.Spec = r.spec
 	rec.Report = r.report
+	stages := r.stages
 	r.mu.Unlock()
 
 	renderStart := time.Now()
@@ -565,7 +569,8 @@ func (s *Server) retire(r *run) {
 	if rs := s.tsdb.Lookup(r.id); rs != nil {
 		rec.Telemetry = rs.Snapshot()
 	}
-	rec.Stages = r.stageTimings(rec, renderDur)
+	stages.RenderMS = stageMS(renderDur)
+	rec.Stages = &stages
 
 	// Only done runs are worth durable bytes: failures and
 	// cancellations are not reusable results, and archiving them would
@@ -580,7 +585,7 @@ func (s *Server) retire(r *run) {
 	if s.cfg.Archive != nil && rec.State == StateDone {
 		archiveStart := time.Now()
 		err := s.cfg.Archive.Put(rec)
-		rec.Stages.ArchiveMS = float64(time.Since(archiveStart).Microseconds()) / 1000
+		rec.Stages.ArchiveMS = stageMS(time.Since(archiveStart))
 		if err != nil {
 			s.mu.Lock()
 			s.archiveErrs++
@@ -589,7 +594,8 @@ func (s *Server) retire(r *run) {
 				"request_id", r.reqID)
 		}
 	}
-	s.met.observeStages(rec.Stages)
+	// queued/setup/execute were observed at the terminal transition.
+	s.met.observeStages(&StageTimings{RenderMS: rec.Stages.RenderMS, ArchiveMS: rec.Stages.ArchiveMS})
 
 	s.mu.Lock()
 	r.mu.Lock()
@@ -612,27 +618,32 @@ func (s *Server) retire(r *run) {
 	_ = putErr
 }
 
-// stageTimings assembles the run's pipeline stage breakdown at retire
-// time. Runs cancelled while queued have no execute stage; ArchiveMS
-// is stamped by retire after the durable write it times.
-func (r *run) stageTimings(rec Record, renderDur time.Duration) *StageTimings {
-	ms := func(d time.Duration) float64 {
-		if d <= 0 {
-			return 0
-		}
-		return float64(d.Microseconds()) / 1000
+// finishLocked stamps a run's end and observes its queued, setup and
+// execute stage timings; r.mu must be held, and the caller publishes
+// the terminal state and event under the same hold. Observing before
+// any reader can see the run terminal means a client that saw it end
+// also finds its stages in /metrics. retire observes render and
+// archive, which happen later. Runs cancelled while queued have no
+// execute stage.
+func (s *Server) finishLocked(r *run) {
+	r.finished = time.Now()
+	r.stages = StageTimings{SetupMS: stageMS(r.setupDur)}
+	if !r.started.IsZero() {
+		r.stages.QueuedMS = stageMS(r.started.Sub(r.submitted))
+		r.stages.ExecuteMS = stageMS(r.finished.Sub(r.started))
+	} else {
+		r.stages.QueuedMS = stageMS(r.finished.Sub(r.submitted))
 	}
-	st := &StageTimings{
-		SetupMS:  ms(r.setupDur),
-		RenderMS: ms(renderDur),
+	s.met.observeStages(&r.stages)
+}
+
+// stageMS converts a stage duration to the milliseconds StageTimings
+// carries (negative clock steps read 0).
+func stageMS(d time.Duration) float64 {
+	if d <= 0 {
+		return 0
 	}
-	if !rec.Started.IsZero() {
-		st.QueuedMS = ms(rec.Started.Sub(rec.Submitted))
-		st.ExecuteMS = ms(rec.Finished.Sub(rec.Started))
-	} else if !rec.Finished.IsZero() {
-		st.QueuedMS = ms(rec.Finished.Sub(rec.Submitted))
-	}
-	return st
+	return float64(d.Microseconds()) / 1000
 }
 
 // renderAll renders the report through every registered sink at default
@@ -847,8 +858,8 @@ func (s *Server) CancelAs(tenant TenantConfig, id string) (RunView, error) {
 	retired := false
 	r.mu.Lock()
 	if r.state == StateQueued {
+		s.finishLocked(r)
 		r.state = StateCancelled
-		r.finished = time.Now()
 		r.errMsg = context.Canceled.Error()
 		r.appendEventLocked("cancelled", Event{Error: r.errMsg})
 		retired = true
@@ -950,7 +961,7 @@ func (s *Server) execute(r *run) {
 	rep, err := sim.RunObserved(r.ctx, r.spec, s.progressFn(r), s.observeFn(r))
 
 	r.mu.Lock()
-	r.finished = time.Now()
+	s.finishLocked(r)
 	if rep.Single != nil || rep.Table != nil || rep.FederationTable != nil {
 		r.report = &rep
 	}
@@ -1100,8 +1111,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		retired := false
 		r.mu.Lock()
 		if r.state == StateQueued {
+			s.finishLocked(r)
 			r.state = StateCancelled
-			r.finished = time.Now()
 			r.errMsg = "service: shut down before the run started"
 			r.appendEventLocked("cancelled", Event{Error: r.errMsg})
 			retired = true
